@@ -68,15 +68,24 @@ examples:
 	$(GO) run ./examples/genes
 	$(GO) run ./examples/text
 
-# Short fuzz sessions over the parsing and metric surfaces.
+# Short fuzz sessions over the parsing, wire-decoding, metric, streaming
+# and index surfaces.
 fuzz:
-	$(GO) test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/dataset/
-	$(GO) test -fuzz=FuzzComparisonMeasures -fuzztime=30s ./internal/metrics/
+	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=30s ./internal/dataset/
+	$(GO) test -run='^$$' -fuzz=FuzzComparisonMeasures -fuzztime=30s ./internal/metrics/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSpec$$' -fuzztime=30s ./internal/jobs/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeChunk$$' -fuzztime=30s ./internal/jobs/
+	$(GO) test -run='^$$' -fuzz=FuzzChunkedReplay -fuzztime=30s ./internal/stream/
+	$(GO) test -run='^$$' -fuzz=FuzzGridEqualsLinear -fuzztime=30s ./internal/dbscan/
 
 # 10-second smoke fuzz, the same step CI runs on every push.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=10s ./internal/dataset/
 	$(GO) test -run='^$$' -fuzz=FuzzComparisonMeasures -fuzztime=10s ./internal/metrics/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSpec$$' -fuzztime=10s ./internal/jobs/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeChunk$$' -fuzztime=10s ./internal/jobs/
+	$(GO) test -run='^$$' -fuzz=FuzzChunkedReplay -fuzztime=10s ./internal/stream/
+	$(GO) test -run='^$$' -fuzz=FuzzGridEqualsLinear -fuzztime=10s ./internal/dbscan/
 
 # Fault-injection property suite under the race detector: seeded corrupters
 # (internal/robust/chaos) against every facade algorithm, plus the

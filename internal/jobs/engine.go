@@ -742,6 +742,9 @@ func (e *Engine) executeChunk(j *Job) {
 	for j.tokens > 0 && !j.state.Terminal() && len(j.pending) > 0 {
 		j.tokens--
 		chunk := j.pending[0]
+		// Clear the slot: the backing array outlives the reslice and
+		// would keep the consumed chunk's rows alive with the job.
+		j.pending[0] = streamChunk{}
 		j.pending = j.pending[1:]
 		if j.state == StateQueued {
 			j.state = StateRunning

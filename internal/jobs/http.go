@@ -40,9 +40,9 @@ type appendResponse struct {
 	RowsAcked   int64  `json:"rows_acked"`
 }
 
-// maxBodyBytes bounds one POST body; a dataset bigger than this cannot be
-// admitted anyway (MaxPoints), so reading further would only buy memory
-// pressure.
+// maxBodyBytes bounds one POST or PATCH body; a dataset bigger than this
+// cannot be admitted anyway (MaxPoints), so reading further would only buy
+// memory pressure. A larger declared Content-Length is refused unread.
 const maxBodyBytes = 64 << 20
 
 // Handler serves the job API:
@@ -53,6 +53,7 @@ const maxBodyBytes = 64 << 20
 //	                       queue full                  -> 429 + Retry-After
 //	                       draining                    -> 503
 //	                       bad spec/body               -> 400
+//	                       body over 64 MiB            -> 413
 //	GET    /v1/jobs        list all job statuses       -> 200 [Status...]
 //	GET    /v1/jobs/{id}   one status (+result,metrics)-> 200 Status | 404
 //	PATCH  /v1/jobs/{id}   append a chunk (stream job) -> 202 {id,state,chunks_acked,rows_acked}
@@ -60,6 +61,7 @@ const maxBodyBytes = 64 << 20
 //	                       queue full                  -> 429 + Retry-After
 //	                       draining                    -> 503
 //	                       not a stream / bad chunk    -> 400
+//	                       body over 64 MiB            -> 413
 //	DELETE /v1/jobs/{id}   cancel                      -> 200 {id,state} | 404
 //	GET    /v1/jobs/{id}/spans  recorded span tree     -> 200 text | 404
 //	GET    /v1/jobs/{id}/trace  Chrome trace-event JSON-> 200 | 404
@@ -112,17 +114,13 @@ func (e *Engine) Handler() http.Handler {
 }
 
 func (e *Engine) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	body, err := readBody(w, r, maxBodyBytes)
 	var spec Spec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, status, errorResponse{Error: "decode spec: " + err.Error()})
+	if err == nil {
+		spec, err = decodeSpec(body)
+	}
+	if err != nil {
+		writeJSON(w, bodyStatus(err), errorResponse{Error: "decode spec: " + err.Error()})
 		return
 	}
 	// The header wins over the body field, per the usual idempotency-key
@@ -168,17 +166,13 @@ func (e *Engine) handleGet(w http.ResponseWriter, id string) {
 }
 
 func (e *Engine) handleAppend(w http.ResponseWriter, r *http.Request, id string) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	body, err := readBody(w, r, maxBodyBytes)
 	var req appendRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, status, errorResponse{Error: "decode chunk: " + err.Error()})
+	if err == nil {
+		req, err = decodeChunk(body)
+	}
+	if err != nil {
+		writeJSON(w, bodyStatus(err), errorResponse{Error: "decode chunk: " + err.Error()})
 		return
 	}
 	j, err := e.Append(id, req.Points, req.Final)

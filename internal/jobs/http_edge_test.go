@@ -33,17 +33,33 @@ func sendJSON(t *testing.T, srv *httptest.Server, method, path, raw string) (*ht
 
 func TestHTTPMalformedBodies(t *testing.T) {
 	_, srv := newTestServer(t, Config{Workers: 1, Runners: map[string]Runner{"instant": instantRunner}})
-	for _, body := range []string{"{", `{"algo": 7}`, `{"algo":"instant","bogus":true}`, ""} {
+	for _, body := range []string{
+		"{", `{"algo": 7}`, `{"algo":"instant","bogus":true}`, "",
+		// Anything but whitespace after the object is refused.
+		`{"algo":"instant","points":[[1,2]],"k":2} garbage{`,
+		`{"algo":"instant","points":[[1,2]],"k":2}{}`,
+		`{"algo":"instant","points":[[1,2]],"k":2} ,`,
+		`{"algo":"instant","points":[[1,"2"]],"k":2}`,
+		`{"algo":"instant","points":[[1e400]],"k":2}`,
+	} {
 		resp, out := sendJSON(t, srv, http.MethodPost, "/v1/jobs", body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("POST body %q = %d %s, want 400", body, resp.StatusCode, out)
 		}
 	}
+	// Trailing whitespace, such as the newline json.Encoder writes, is
+	// not trailing data.
+	resp, out := sendJSON(t, srv, http.MethodPost, "/v1/jobs", `{"algo":"instant","points":[[1,2]],"k":2}`+"\n \t\r\n")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST with trailing whitespace = %d %s, want 202", resp.StatusCode, out)
+	}
 	// PATCH decodes before it resolves the id, so a malformed chunk body
 	// is a 400 even against a missing job.
-	resp, out := sendJSON(t, srv, http.MethodPatch, "/v1/jobs/j-1", `{"points": [[1`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("PATCH malformed body = %d %s, want 400", resp.StatusCode, out)
+	for _, body := range []string{`{"points": [[1`, `{"points":[[1]]} garbage{`, `{"final":true}x`} {
+		resp, out := sendJSON(t, srv, http.MethodPatch, "/v1/jobs/j-1", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("PATCH body %q = %d %s, want 400", body, resp.StatusCode, out)
+		}
 	}
 }
 
