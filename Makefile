@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json lint-sarif lint-fix test race cover bench bench-json bench-baseline experiments examples fuzz fuzz-smoke chaos chaos-serve stream-chaos logs-check ci clean
+.PHONY: all build jobsbench-build vet lint lint-json lint-sarif lint-fix test race cover bench bench-json bench-baseline experiments examples fuzz fuzz-smoke chaos chaos-serve stream-chaos logs-check ci clean
 
 all: build vet lint test
 
@@ -11,6 +11,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# jobsbench is its own module, so `go build ./...` above skips it; build
+# and vet it so a change to serve, ops or the facade cannot silently break
+# `sh jobsbench/run.sh`.
+jobsbench-build:
+	cd jobsbench && $(GO) build ./... && $(GO) vet ./...
 
 # Determinism & parallel-safety static analysis (see internal/lint and
 # DESIGN.md "Determinism invariants"). Exits non-zero on any finding.
@@ -119,7 +125,7 @@ logs-check:
 	$(GO) test -run 'TestLogSchema' -count=1 ./internal/obs/ ./internal/ops/ ./internal/jobs/
 
 # Everything the GitHub Actions workflow runs, locally.
-ci: build vet test race lint fuzz-smoke chaos chaos-serve stream-chaos logs-check cover bench-json
+ci: build jobsbench-build vet test race lint fuzz-smoke chaos chaos-serve stream-chaos logs-check cover bench-json
 
 clean:
 	$(GO) clean -testcache

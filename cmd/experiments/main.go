@@ -62,7 +62,7 @@ func run(ids []string, metrics bool, serveAddr string, stdout, stderr io.Writer)
 		defer obs.SetDefault(prev)
 	}
 	if serveAddr != "" {
-		h, err := ops.Serve(serveAddr, collector)
+		h, err := ops.ServeOpts(serveAddr, collector, ops.MuxOptions{})
 		if err != nil {
 			return err
 		}

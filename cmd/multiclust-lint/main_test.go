@@ -81,7 +81,7 @@ func TestListRules(t *testing.T) {
 		t.Fatalf("-list exited %d", code)
 	}
 	for _, rule := range []string{"maporder", "globalrand", "sharedrng", "nakedgo", "floatkey",
-		"ctxflow", "rngescape", "lockcopy", "goleak", "detsource"} {
+		"ctxflow", "rngescape", "goleak", "detsource"} {
 		if !strings.Contains(out.String(), rule) {
 			t.Errorf("-list output missing %s:\n%s", rule, out.String())
 		}

@@ -20,14 +20,13 @@ import (
 
 	"multiclust/internal/core"
 	"multiclust/internal/jobs"
-	"multiclust/internal/obs"
 )
 
 // Instant returns a runner that succeeds immediately with a tiny fixed
 // outcome — the control group, and the bench harness's dispatch-overhead
 // probe.
 func Instant() jobs.Runner {
-	return func(_ context.Context, spec jobs.Spec, _ int64, _ obs.Recorder) (*jobs.Outcome, error) {
+	return func(_ context.Context, spec jobs.Spec, _ int64) (*jobs.Outcome, error) {
 		labels := make([]int, len(spec.Points))
 		return &jobs.Outcome{Labels: labels, K: 1}, nil
 	}
@@ -37,7 +36,7 @@ func Instant() jobs.Runner {
 // engine must contain it: the job fails with an error wrapping ErrPanic
 // and the worker pool keeps serving.
 func Panicky(msg string) jobs.Runner {
-	return func(context.Context, jobs.Spec, int64, obs.Recorder) (*jobs.Outcome, error) {
+	return func(context.Context, jobs.Spec, int64) (*jobs.Outcome, error) {
 		panic(msg)
 	}
 }
@@ -48,7 +47,7 @@ func Panicky(msg string) jobs.Runner {
 // so the runner needs no state and the retry path it exercises is
 // replayable.
 func Degenerate(n int) jobs.Runner {
-	return func(_ context.Context, spec jobs.Spec, seed int64, _ obs.Recorder) (*jobs.Outcome, error) {
+	return func(_ context.Context, spec jobs.Spec, seed int64) (*jobs.Outcome, error) {
 		attempt := int(seed - spec.Seed)
 		if attempt < n {
 			return nil, fmt.Errorf("chaos: injected degenerate fit (attempt %d of %d): %w", attempt, n, core.ErrDegenerate)
@@ -64,7 +63,7 @@ func Degenerate(n int) jobs.Runner {
 // the facade's ...Context algorithms do. It is the canonical stuck-job and
 // drain-deadline probe.
 func Slow(onStart chan<- string) jobs.Runner {
-	return func(ctx context.Context, spec jobs.Spec, _ int64, _ obs.Recorder) (*jobs.Outcome, error) {
+	return func(ctx context.Context, spec jobs.Spec, _ int64) (*jobs.Outcome, error) {
 		if onStart != nil {
 			onStart <- spec.Algo
 		}
@@ -83,7 +82,7 @@ func Slow(onStart chan<- string) jobs.Runner {
 // seeds, and succeeds on the rest. The decision hashes the job seed
 // through a seeded RNG: same spec, same verdict, every run.
 func Flaky(p float64) jobs.Runner {
-	return func(_ context.Context, spec jobs.Spec, seed int64, _ obs.Recorder) (*jobs.Outcome, error) {
+	return func(_ context.Context, spec jobs.Spec, seed int64) (*jobs.Outcome, error) {
 		rng := rand.New(rand.NewSource(seed))
 		if rng.Float64() < p {
 			return nil, fmt.Errorf("chaos: injected hard failure for seed %d", seed)

@@ -10,6 +10,7 @@ import (
 	"multiclust/internal/core"
 	"multiclust/internal/jobs"
 	"multiclust/internal/jobs/chaos"
+	"multiclust/internal/robust"
 )
 
 func points() [][]float64 {
@@ -92,7 +93,7 @@ func TestPropertyExactlyOneTerminalState(t *testing.T) {
 	log := newTerminalLog()
 	runners := chaos.TestRunners()
 	e := jobs.New(jobs.Config{
-		Workers: 4, QueueSize: 128, RetryBudget: 3,
+		Workers: 4, QueueSize: 128,
 		Runners: runners, OnTerminal: log.hook,
 	})
 
@@ -239,35 +240,35 @@ func TestPropertyDrainLosesNoJob(t *testing.T) {
 }
 
 // TestPropertyDegenerateRetryDeterministic: the Degenerate runner counts
-// attempts off the documented reseed schedule, so a budget larger than the
-// fault depth always heals at the same attempt, and a smaller one always
+// attempts off the documented reseed schedule, so a fault depth below the
+// retry budget always heals at the same attempt, and one equal to it always
 // exhausts — no flakes in either direction.
 func TestPropertyDegenerateRetryDeterministic(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
-		heal := jobs.New(jobs.Config{Workers: 1, RetryBudget: 3,
-			Runners: map[string]jobs.Runner{"degen": chaos.Degenerate(2)}})
+		heal := jobs.New(jobs.Config{Workers: 1,
+			Runners: map[string]jobs.Runner{"degen": chaos.Degenerate(robust.RetryBudget - 1)}})
 		j, _, err := heal.Submit(jobs.Spec{Algo: "degen", Points: points(), Seed: int64(trial * 10)})
 		if err != nil {
 			t.Fatalf("Submit: %v", err)
 		}
 		<-j.Done()
 		if j.State() != jobs.StateDone {
-			t.Fatalf("trial %d: budget 3 vs depth 2: state %s, want done", trial, j.State())
+			t.Fatalf("trial %d: depth budget-1: state %s, want done", trial, j.State())
 		}
-		if st := j.Status(); st.Attempts != 3 {
-			t.Fatalf("trial %d: attempts = %d, want 3 (2 degenerate + 1 success)", trial, st.Attempts)
+		if st := j.Status(); st.Attempts != robust.RetryBudget {
+			t.Fatalf("trial %d: attempts = %d, want %d (all but the last degenerate)", trial, st.Attempts, robust.RetryBudget)
 		}
 		drainOrDie(t, heal, 5*time.Second)
 
-		exhaust := jobs.New(jobs.Config{Workers: 1, RetryBudget: 2,
-			Runners: map[string]jobs.Runner{"degen": chaos.Degenerate(2)}})
+		exhaust := jobs.New(jobs.Config{Workers: 1,
+			Runners: map[string]jobs.Runner{"degen": chaos.Degenerate(robust.RetryBudget)}})
 		j2, _, err := exhaust.Submit(jobs.Spec{Algo: "degen", Points: points(), Seed: int64(trial * 10)})
 		if err != nil {
 			t.Fatalf("Submit: %v", err)
 		}
 		<-j2.Done()
 		if j2.State() != jobs.StateFailed || !errors.Is(j2.Err(), core.ErrDegenerate) {
-			t.Fatalf("trial %d: budget 2 vs depth 2: state %s err %v, want failed/ErrDegenerate",
+			t.Fatalf("trial %d: depth = budget: state %s err %v, want failed/ErrDegenerate",
 				trial, j2.State(), j2.Err())
 		}
 		drainOrDie(t, exhaust, 5*time.Second)
@@ -279,7 +280,7 @@ func TestPropertyDegenerateRetryDeterministic(t *testing.T) {
 // engines produces identical terminal states job for job.
 func TestPropertyFlakyVerdictReplayable(t *testing.T) {
 	run := func() map[int64]jobs.State {
-		e := jobs.New(jobs.Config{Workers: 2, QueueSize: 64, RetryBudget: 1,
+		e := jobs.New(jobs.Config{Workers: 2, QueueSize: 64,
 			Runners: map[string]jobs.Runner{"flaky": chaos.Flaky(0.5)}})
 		defer drainOrDie(t, e, 10*time.Second)
 		out := map[int64]jobs.State{}
@@ -325,16 +326,16 @@ func TestTestRunnersBattery(t *testing.T) {
 		}
 	}
 	// The instant runner is the dispatch-overhead probe: label per point.
-	out, err := reg["chaos-instant"](context.Background(), jobs.Spec{Points: points()}, 0, nil)
+	out, err := reg["chaos-instant"](context.Background(), jobs.Spec{Points: points()}, 0)
 	if err != nil || len(out.Labels) != len(points()) {
 		t.Fatalf("chaos-instant: out=%+v err=%v", out, err)
 	}
 	// The degenerate runner follows the engine's seed schedule.
 	spec := jobs.Spec{Points: points(), Seed: 50}
-	if _, err := reg["chaos-degenerate"](context.Background(), spec, 50, nil); !errors.Is(err, core.ErrDegenerate) {
+	if _, err := reg["chaos-degenerate"](context.Background(), spec, 50); !errors.Is(err, core.ErrDegenerate) {
 		t.Fatalf("attempt 0 err = %v, want ErrDegenerate", err)
 	}
-	if out, err := reg["chaos-degenerate"](context.Background(), spec, 52, nil); err != nil || out == nil {
+	if out, err := reg["chaos-degenerate"](context.Background(), spec, 52); err != nil || out == nil {
 		t.Fatalf("attempt 2: out=%v err=%v, want healed", out, err)
 	}
 }

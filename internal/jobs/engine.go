@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,29 +31,12 @@ type Config struct {
 	// QueueSize bounds the admission queue (default 64). Submit fails
 	// with ErrQueueFull — never blocks, never grows — once it is full.
 	QueueSize int
-	// DefaultTimeout applies to jobs that request none (default 30s).
-	DefaultTimeout time.Duration
-	// MaxTimeout caps every requested timeout (default 5m), so no tenant
-	// can park a worker indefinitely.
-	MaxTimeout time.Duration
-	// RetryBudget is the number of deterministic reseed attempts for
-	// degenerate fits (default 3; see robust.RetryBackoff).
-	RetryBudget int
-	// Backoff schedules the waits between degenerate-fit retries. Seed is
-	// overridden per job with the job's spec seed, keeping the full retry
-	// timeline a pure function of the spec. The zero value retries
-	// immediately.
-	Backoff robust.Backoff
-	// MaxPoints bounds the dataset size admitted per job (default
-	// 200000 rows); larger submissions are refused with ErrBadSpec.
-	MaxPoints int
 	// Runners extends or overrides the default algorithm registry —
 	// the chaos suite injects faulty runners and the bench harness a
-	// no-op runner through this seam. Nil entries delete a default.
+	// no-op runner through this seam.
 	Runners map[string]Runner
 	// Streams extends or overrides the streaming algorithm registry
-	// (Spec.Stream jobs), the same seam Runners is for batch jobs. Nil
-	// entries delete a default.
+	// (Spec.Stream jobs), the same seam Runners is for batch jobs.
 	Streams map[string]StreamFactory
 	// OnTerminal, when non-nil, observes every terminal transition
 	// (exactly one per admitted job). Used by the fault-injection suite
@@ -64,6 +49,19 @@ type Config struct {
 	// warn, everything else at info.
 	Log *obs.Logger
 }
+
+// Fixed engine bounds. Each exists so overload degrades into refusals
+// instead of unbounded memory or latency.
+const (
+	// defaultTimeout applies to jobs that request none.
+	defaultTimeout = 30 * time.Second
+	// maxTimeout caps every requested timeout, so no tenant can park a
+	// worker indefinitely.
+	maxTimeout = 5 * time.Minute
+	// maxPoints bounds the rows admitted per job and per streaming
+	// chunk; larger submissions are refused with ErrBadSpec.
+	maxPoints = 200000
+)
 
 // DrainReport summarizes what graceful shutdown did with the admitted jobs.
 type DrainReport struct {
@@ -102,41 +100,11 @@ func New(cfg Config) *Engine {
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 64
 	}
-	if cfg.DefaultTimeout <= 0 {
-		cfg.DefaultTimeout = 30 * time.Second
-	}
-	if cfg.MaxTimeout <= 0 {
-		cfg.MaxTimeout = 5 * time.Minute
-	}
-	if cfg.RetryBudget <= 0 {
-		cfg.RetryBudget = 3
-	}
-	if cfg.MaxPoints <= 0 {
-		cfg.MaxPoints = 200000
-	}
-	runners := make(map[string]Runner, len(defaultRunners)+len(cfg.Runners))
-	for name, r := range defaultRunners {
-		runners[name] = r
-	}
-	for name, r := range cfg.Runners {
-		if r == nil {
-			delete(runners, name)
-			continue
-		}
-		runners[name] = r
-	}
+	runners := maps.Clone(defaultRunners)
+	maps.Copy(runners, cfg.Runners)
 	cfg.Runners = runners
-	streams := make(map[string]StreamFactory, len(defaultStreams)+len(cfg.Streams))
-	for name, f := range defaultStreams {
-		streams[name] = f
-	}
-	for name, f := range cfg.Streams {
-		if f == nil {
-			delete(streams, name)
-			continue
-		}
-		streams[name] = f
-	}
+	streams := maps.Clone(defaultStreams)
+	maps.Copy(streams, cfg.Streams)
 	cfg.Streams = streams
 
 	e := &Engine{
@@ -163,13 +131,15 @@ func New(cfg Config) *Engine {
 func (e *Engine) validate(spec Spec) error {
 	if spec.Stream {
 		if _, ok := e.cfg.Streams[spec.Algo]; !ok {
-			return fmt.Errorf("%w: unknown streaming algorithm %q (have %s)", ErrBadSpec, spec.Algo, e.algoNames(true))
+			return fmt.Errorf("%w: unknown streaming algorithm %q (have %s)",
+				ErrBadSpec, spec.Algo, strings.Join(sortedNames(e.cfg.Streams), ", "))
 		}
 	} else if _, ok := e.cfg.Runners[spec.Algo]; !ok {
-		return fmt.Errorf("%w: unknown algorithm %q (have %s)", ErrBadSpec, spec.Algo, e.algoNames(false))
+		return fmt.Errorf("%w: unknown algorithm %q (have %s)",
+			ErrBadSpec, spec.Algo, strings.Join(sortedNames(e.cfg.Runners), ", "))
 	}
-	if len(spec.Points) > e.cfg.MaxPoints {
-		return fmt.Errorf("%w: %d points exceeds the %d-row admission bound", ErrBadSpec, len(spec.Points), e.cfg.MaxPoints)
+	if len(spec.Points) > maxPoints {
+		return fmt.Errorf("%w: %d points exceeds the %d-row admission bound", ErrBadSpec, len(spec.Points), maxPoints)
 	}
 	// A streaming job may open with no rows at all — the first chunk
 	// arrives by PATCH; a batch job's dataset is validated here in full.
@@ -181,7 +151,7 @@ func (e *Engine) validate(spec Spec) error {
 	if spec.TimeoutMS < 0 {
 		return fmt.Errorf("%w: negative timeout_ms %d", ErrBadSpec, spec.TimeoutMS)
 	}
-	if max := e.cfg.MaxTimeout.Milliseconds(); spec.TimeoutMS > max {
+	if max := maxTimeout.Milliseconds(); spec.TimeoutMS > max {
 		return fmt.Errorf("%w: timeout_ms %d exceeds the %dms cap", ErrBadSpec, spec.TimeoutMS, max)
 	}
 	if spec.K < 0 {
@@ -193,26 +163,14 @@ func (e *Engine) validate(spec Spec) error {
 	return nil
 }
 
-func (e *Engine) algoNames(stream bool) string {
-	names := make([]string, 0, len(e.cfg.Runners))
-	if stream {
-		for name := range e.cfg.Streams {
-			names = append(names, name)
-		}
-	} else {
-		for name := range e.cfg.Runners {
-			names = append(names, name)
-		}
+// sortedNames lists a registry's algorithm names in lexicographic order.
+func sortedNames[V any](registry map[string]V) []string {
+	names := make([]string, 0, len(registry))
+	for name := range registry {
+		names = append(names, name)
 	}
 	sort.Strings(names)
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out
+	return names
 }
 
 // Submit admits one job. The returned bool is true when an idempotency key
@@ -282,8 +240,7 @@ func (e *Engine) SubmitTraced(spec Spec, traceID string) (*Job, bool, error) {
 		TraceID:    traceID,
 		col:        col,
 		traceLog:   buf,
-		trace:      tw,
-		rec:        obs.Tee(col, tw),
+		rec:        obs.Tee(col, spanRecorder{tw}),
 		enqueuedAt: time.Now(),
 		done:       make(chan struct{}),
 		handle:     handle,
@@ -363,8 +320,8 @@ func (e *Engine) Append(id string, rows [][]float64, final bool) (*Job, error) {
 	if len(rows) == 0 && !final {
 		return nil, fmt.Errorf("%w: empty chunk", ErrBadSpec)
 	}
-	if len(rows) > e.cfg.MaxPoints {
-		return nil, fmt.Errorf("%w: %d rows exceeds the %d-row admission bound", ErrBadSpec, len(rows), e.cfg.MaxPoints)
+	if len(rows) > maxPoints {
+		return nil, fmt.Errorf("%w: %d rows exceeds the %d-row admission bound", ErrBadSpec, len(rows), maxPoints)
 	}
 	if len(rows) > 0 {
 		if err := robust.ValidateDataset(rows); err != nil {
@@ -620,13 +577,13 @@ func (e *Engine) worker() {
 
 // resolveTimeout maps a spec's requested per-run (or, for streams,
 // per-chunk) budget onto the engine bounds.
-func (e *Engine) resolveTimeout(ms int64) time.Duration {
+func resolveTimeout(ms int64) time.Duration {
 	timeout := time.Duration(ms) * time.Millisecond
 	if timeout <= 0 {
-		timeout = e.cfg.DefaultTimeout
+		timeout = defaultTimeout
 	}
-	if timeout > e.cfg.MaxTimeout {
-		timeout = e.cfg.MaxTimeout
+	if timeout > maxTimeout {
+		timeout = maxTimeout
 	}
 	return timeout
 }
@@ -648,7 +605,7 @@ func (e *Engine) tryStart(j *Job, cancel func()) bool {
 // attempt is wrapped in robust.RecoverTo, so a panicking runner fails the
 // job (ErrPanic) and the worker lives on.
 func (e *Engine) execute(j *Job) {
-	timeout := e.resolveTimeout(j.Spec.TimeoutMS)
+	timeout := resolveTimeout(j.Spec.TimeoutMS)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if !e.tryStart(j, cancel) {
@@ -673,10 +630,8 @@ func (e *Engine) execute(j *Job) {
 	tctx = obs.NewContext(obs.WithTraceID(tctx, j.TraceID), j.rec)
 
 	runner := e.cfg.Runners[j.Spec.Algo]
-	backoff := e.cfg.Backoff
-	backoff.Seed = j.Spec.Seed
 	execStart := time.Now()
-	out, err := robust.RetryValueBackoff(tctx, j.Spec.Seed, e.cfg.RetryBudget, backoff,
+	out, err := robust.Retry(tctx, j.Spec.Seed,
 		func(seed int64) (o *Outcome, rerr error) {
 			defer robust.RecoverTo(&rerr)
 			j.mu.Lock()
@@ -693,7 +648,7 @@ func (e *Engine) execute(j *Job) {
 			// the time /trace becomes servable.
 			actx, end := obs.SpanCtx(tctx, j.rec, "jobs.run")
 			defer end()
-			return runner(actx, j.Spec, seed, j.rec)
+			return runner(actx, j.Spec, seed)
 		})
 	obs.Histogram(obs.Default(), "jobs.exec_seconds", time.Since(execStart).Seconds())
 
@@ -781,7 +736,7 @@ func (e *Engine) runChunk(j *Job, chunk streamChunk) {
 	if e.stopped.Load() {
 		cancel() // swept at the drain deadline; settle to best-so-far
 	}
-	tctx, tcancel := context.WithTimeout(ctx, e.resolveTimeout(j.Spec.TimeoutMS))
+	tctx, tcancel := context.WithTimeout(ctx, resolveTimeout(j.Spec.TimeoutMS))
 	defer tcancel()
 	tctx = obs.NewContext(obs.WithTraceID(tctx, j.TraceID), j.rec)
 

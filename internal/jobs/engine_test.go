@@ -16,7 +16,7 @@ import (
 // battery lives in the chaos subpackage (which imports jobs and therefore
 // cannot be imported from here).
 
-func instantRunner(_ context.Context, spec Spec, _ int64, _ obs.Recorder) (*Outcome, error) {
+func instantRunner(_ context.Context, spec Spec, _ int64) (*Outcome, error) {
 	return &Outcome{Labels: make([]int, len(spec.Points)), K: 1}, nil
 }
 
@@ -24,7 +24,7 @@ func instantRunner(_ context.Context, spec Spec, _ int64, _ obs.Recorder) (*Outc
 // cut, then returns a best-so-far outcome wrapped in ErrInterrupted like the
 // facade algorithms do.
 func slowRunner(started chan<- struct{}) Runner {
-	return func(ctx context.Context, spec Spec, _ int64, _ obs.Recorder) (*Outcome, error) {
+	return func(ctx context.Context, spec Spec, _ int64) (*Outcome, error) {
 		if started != nil {
 			started <- struct{}{}
 		}
@@ -35,7 +35,7 @@ func slowRunner(started chan<- struct{}) Runner {
 }
 
 func degenerateRunner(n int) Runner {
-	return func(_ context.Context, spec Spec, seed int64, _ obs.Recorder) (*Outcome, error) {
+	return func(_ context.Context, spec Spec, seed int64) (*Outcome, error) {
 		if int(seed-spec.Seed) < n {
 			return nil, fmt.Errorf("degenerate: %w", core.ErrDegenerate)
 		}
@@ -43,7 +43,7 @@ func degenerateRunner(n int) Runner {
 	}
 }
 
-func panickyRunner(context.Context, Spec, int64, obs.Recorder) (*Outcome, error) {
+func panickyRunner(context.Context, Spec, int64) (*Outcome, error) {
 	panic("injected")
 }
 
@@ -220,15 +220,9 @@ func TestIdempotencyKeyDeduplicates(t *testing.T) {
 }
 
 func TestDegenerateRetryWithinBudget(t *testing.T) {
-	var slept []time.Duration
 	e := newTestEngine(t, Config{
-		Workers:     1,
-		RetryBudget: 3,
-		Backoff: robust.Backoff{
-			Base:  4 * time.Millisecond,
-			Sleep: func(d time.Duration) { slept = append(slept, d) },
-		},
-		Runners: map[string]Runner{"degen": degenerateRunner(2)},
+		Workers: 1,
+		Runners: map[string]Runner{"degen": degenerateRunner(robust.RetryBudget - 1)},
 	})
 	j, _, err := e.Submit(Spec{Algo: "degen", Points: testPoints(), Seed: 10})
 	if err != nil {
@@ -238,17 +232,13 @@ func TestDegenerateRetryWithinBudget(t *testing.T) {
 	if j.State() != StateDone {
 		t.Fatalf("state = %s, want done after retries (err %v)", j.State(), j.Err())
 	}
-	if st := j.Status(); st.Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", st.Attempts)
-	}
-	want := []time.Duration{4 * time.Millisecond, 8 * time.Millisecond}
-	if len(slept) != len(want) || slept[0] != want[0] || slept[1] != want[1] {
-		t.Fatalf("backoff schedule %v, want %v", slept, want)
+	if st := j.Status(); st.Attempts != robust.RetryBudget {
+		t.Fatalf("attempts = %d, want %d", st.Attempts, robust.RetryBudget)
 	}
 }
 
 func TestDegenerateBudgetExhaustionFails(t *testing.T) {
-	e := newTestEngine(t, Config{Workers: 1, RetryBudget: 2,
+	e := newTestEngine(t, Config{Workers: 1,
 		Runners: map[string]Runner{"degen": degenerateRunner(100)}})
 	j, _, err := e.Submit(Spec{Algo: "degen", Points: testPoints(), Seed: 5})
 	if err != nil {
@@ -313,8 +303,13 @@ func TestValidationRejects(t *testing.T) {
 }
 
 func TestMaxPointsBound(t *testing.T) {
-	e := newTestEngine(t, Config{Workers: 1, MaxPoints: 3})
-	if _, _, err := e.Submit(Spec{Algo: "kmeans", Points: testPoints()}); !errors.Is(err, ErrBadSpec) {
+	e := newTestEngine(t, Config{Workers: 1})
+	row := []float64{1, 2}
+	points := make([][]float64, maxPoints+1)
+	for i := range points {
+		points[i] = row
+	}
+	if _, _, err := e.Submit(Spec{Algo: "kmeans", Points: points}); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("want ErrBadSpec for oversized dataset, got %v", err)
 	}
 }
@@ -391,8 +386,8 @@ func TestDrainDeadlineCutsSlowJobsToBestSoFar(t *testing.T) {
 func TestPerJobCollectorIsolation(t *testing.T) {
 	// Two concurrent jobs record into their own collectors; counters must
 	// not bleed between them.
-	rec := func(_ context.Context, spec Spec, _ int64, r obs.Recorder) (*Outcome, error) {
-		obs.Count(r, "test.work", int64(spec.K))
+	rec := func(ctx context.Context, spec Spec, _ int64) (*Outcome, error) {
+		obs.Count(obs.From(ctx), "test.work", int64(spec.K))
 		return &Outcome{Labels: make([]int, len(spec.Points)), K: 1}, nil
 	}
 	e := newTestEngine(t, Config{Workers: 2, Runners: map[string]Runner{"rec": rec}})

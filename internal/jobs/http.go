@@ -41,7 +41,7 @@ type appendResponse struct {
 }
 
 // maxBodyBytes bounds one POST or PATCH body; a dataset bigger than this
-// cannot be admitted anyway (MaxPoints), so reading further would only buy
+// cannot be admitted anyway (maxPoints), so reading further would only buy
 // memory pressure. A larger declared Content-Length is refused unread.
 const maxBodyBytes = 64 << 20
 

@@ -136,6 +136,47 @@ func TestTraceWithoutTraceParent(t *testing.T) {
 	}
 }
 
+// The per-job trace buffer holds span lines only: counts, gauges and
+// series reach the job's collector alone, and /trace still renders one
+// event per span the collector counted.
+func TestTraceHoldsSpansOnly(t *testing.T) {
+	e, srv := newTracedServer(t, Config{Workers: 1})
+	j, _, err := e.Submit(Spec{Algo: "meta", Points: registryPoints(), K: 2, Seed: 7, NumSolutions: 3, MetaClusters: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, j)
+	if j.State() != StateDone {
+		t.Fatalf("job state = %s, want done (err %v)", j.State(), j.Err())
+	}
+	lines := strings.Split(strings.TrimSpace(string(j.traceLog.Bytes())), "\n")
+	for i, line := range lines {
+		if !strings.Contains(line, `"type":"span"`) {
+			t.Fatalf("trace line %d is not a span: %s", i, line)
+		}
+	}
+	snap := j.col.Snapshot()
+	if len(snap.Counters) == 0 {
+		t.Fatal("the job's collector recorded no counters")
+	}
+	var spans int64
+	for _, st := range snap.Spans {
+		spans += st.Count
+	}
+	resp, body := do(t, srv, "GET", "/v1/jobs/"+j.ID+"/trace")
+	if resp.StatusCode != 200 {
+		t.Fatalf("/trace status = %d: %s", resp.StatusCode, body)
+	}
+	var tr chromeTrace
+	if err := json.Unmarshal(body, &tr); err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(lines)) != spans || int64(len(tr.TraceEvents)) != spans {
+		t.Fatalf("trace lines %d, /trace events %d, collector spans %d: want all equal",
+			len(lines), len(tr.TraceEvents), spans)
+	}
+}
+
 // /trace refuses with 409 while the job is still running: the stream is
 // only complete and immutable once the job is terminal.
 func TestTraceConflictUntilTerminal(t *testing.T) {

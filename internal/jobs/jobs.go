@@ -1,7 +1,8 @@
 // Package jobs is the resilience envelope that turns multiclust's one-shot
 // clustering substrate into a service: a multi-tenant async job engine with
-// a bounded queue, per-job deadlines, budgeted retry with deterministic
-// backoff, idempotency keys, cooperative cancellation, and graceful drain.
+// a bounded queue, per-job deadlines, budgeted retry on a deterministic
+// reseed schedule, idempotency keys, cooperative cancellation, and
+// graceful drain.
 //
 // A job is one clustering run — dataset plus algorithm spec — executed by a
 // bounded worker pool through the facade's ...Context variants, so every
@@ -182,12 +183,12 @@ type Job struct {
 	TraceID string
 
 	col *obs.Collector // per-job recorder; no cross-tenant leakage
-	// traceLog buffers the job's JSONL trace stream (written via trace)
-	// so GET /v1/jobs/{id}/trace can replay it into Chrome trace-event
-	// JSON after the job completes.
+	// traceLog buffers the job's JSONL span stream so GET
+	// /v1/jobs/{id}/trace can replay it into Chrome trace-event JSON
+	// after the job completes.
 	traceLog *traceBuf
-	trace    *obs.TraceWriter
-	// rec tees col and trace; it is what runners and job spans record to.
+	// rec tees col and the span-only trace writer over traceLog; it is
+	// what runners (via their context) and job spans record to.
 	rec obs.Recorder
 
 	mu          sync.Mutex
@@ -247,6 +248,20 @@ func (t *traceBuf) Bytes() []byte {
 	out := make([]byte, t.b.Len())
 	copy(out, t.b.Bytes())
 	return out
+}
+
+// spanRecorder forwards only spans to the job's trace writer. /trace
+// renders span lines alone, so counts, gauges, series and histograms
+// stay in the job's Collector instead of also filling the trace buffer.
+type spanRecorder struct{ tw *obs.TraceWriter }
+
+func (spanRecorder) Count(string, int64)          {}
+func (spanRecorder) Gauge(string, float64)        {}
+func (spanRecorder) Observe(string, int, float64) {}
+func (spanRecorder) Histogram(string, float64)    {}
+
+func (s spanRecorder) StartSpan(name string, id, parent obs.SpanID) func() {
+	return s.tw.StartSpan(name, id, parent)
 }
 
 // Done returns a channel closed at the job's terminal transition.

@@ -5,19 +5,19 @@ import (
 	"errors"
 
 	"multiclust"
-	"multiclust/internal/obs"
 )
 
 // Runner executes one attempt of a job: the spec's dataset under the
 // spec's algorithm, with the attempt's seed (the engine walks the
 // deterministic schedule spec.Seed, spec.Seed+1, ... on degenerate fits,
 // so `seed - spec.Seed` is the attempt index). The context carries the
-// deadline, the drain signal and the per-job recorder; a runner that is
-// interrupted should return its best-so-far Outcome alongside an error
-// wrapping core.ErrInterrupted — that pair is what the engine serves as a
-// partial result. Runners are invoked under robust.RecoverTo, so a panic
-// fails the job without taking the worker down.
-type Runner func(ctx context.Context, spec Spec, seed int64, rec obs.Recorder) (*Outcome, error)
+// deadline, the drain signal and the per-job recorder (obs.From); a
+// runner that is interrupted should return its best-so-far Outcome
+// alongside an error wrapping core.ErrInterrupted — that pair is what the
+// engine serves as a partial result. Runners are invoked under
+// robust.RecoverTo, so a panic fails the job without taking the worker
+// down.
+type Runner func(ctx context.Context, spec Spec, seed int64) (*Outcome, error)
 
 // defaultRunners dispatches the service's algorithm names onto the facade
 // ...Context variants, inheriting their whole robustness envelope:
@@ -31,11 +31,8 @@ var defaultRunners = map[string]Runner{
 	"meta":     runMeta,
 }
 
-// Algorithms lists the service's built-in algorithm names (sorted
-// lexicographically in the engine's error texts).
-func Algorithms() []string {
-	return []string{"dbscan", "em", "kmeans", "meta", "spectral"}
-}
+// Algorithms lists the service's built-in algorithm names, sorted.
+func Algorithms() []string { return sortedNames(defaultRunners) }
 
 // outcomeFromClustering flattens a label vector into the wire shape.
 func outcomeFromClustering(c *multiclust.Clustering) *Outcome {
@@ -45,7 +42,7 @@ func outcomeFromClustering(c *multiclust.Clustering) *Outcome {
 	return &Outcome{Labels: c.Labels, K: c.K(), Noise: c.NoiseCount()}
 }
 
-func runKMeans(ctx context.Context, spec Spec, seed int64, _ obs.Recorder) (*Outcome, error) {
+func runKMeans(ctx context.Context, spec Spec, seed int64) (*Outcome, error) {
 	res, err := multiclust.KMeansContext(ctx, spec.Points, multiclust.KMeansConfig{
 		K: spec.K, Seed: seed, Restarts: spec.Restarts, MaxIter: spec.MaxIter,
 	})
@@ -59,7 +56,7 @@ func runKMeans(ctx context.Context, spec Spec, seed int64, _ obs.Recorder) (*Out
 	return out, err
 }
 
-func runEM(ctx context.Context, spec Spec, seed int64, _ obs.Recorder) (*Outcome, error) {
+func runEM(ctx context.Context, spec Spec, seed int64) (*Outcome, error) {
 	res, err := multiclust.EMContext(ctx, spec.Points, multiclust.EMConfig{
 		K: spec.K, Seed: seed, MaxIter: spec.MaxIter,
 	})
@@ -73,7 +70,7 @@ func runEM(ctx context.Context, spec Spec, seed int64, _ obs.Recorder) (*Outcome
 	return out, err
 }
 
-func runSpectral(ctx context.Context, spec Spec, seed int64, _ obs.Recorder) (*Outcome, error) {
+func runSpectral(ctx context.Context, spec Spec, seed int64) (*Outcome, error) {
 	res, err := multiclust.SpectralContext(ctx, spec.Points, multiclust.SpectralConfig{
 		K: spec.K, Seed: seed,
 	})
@@ -87,7 +84,7 @@ func runSpectral(ctx context.Context, spec Spec, seed int64, _ obs.Recorder) (*O
 	return out, err
 }
 
-func runDBSCAN(ctx context.Context, spec Spec, _ int64, _ obs.Recorder) (*Outcome, error) {
+func runDBSCAN(ctx context.Context, spec Spec, _ int64) (*Outcome, error) {
 	// DBSCAN is deterministic without a seed; the retry schedule cannot
 	// change its outcome, and it never reports ErrDegenerate.
 	c, err := multiclust.DBSCANContext(ctx, spec.Points, multiclust.DBSCANConfig{
@@ -96,7 +93,7 @@ func runDBSCAN(ctx context.Context, spec Spec, _ int64, _ obs.Recorder) (*Outcom
 	return outcomeFromClustering(c), err
 }
 
-func runMeta(ctx context.Context, spec Spec, seed int64, _ obs.Recorder) (*Outcome, error) {
+func runMeta(ctx context.Context, spec Spec, seed int64) (*Outcome, error) {
 	res, err := multiclust.MetaClusteringContext(ctx, spec.Points, multiclust.MetaClusteringConfig{
 		K: spec.K, Seed: seed, NumSolutions: spec.NumSolutions, MetaClusters: spec.MetaClusters,
 	})

@@ -38,10 +38,8 @@ var defaultStreams = map[string]StreamFactory{
 }
 
 // StreamAlgorithms lists the service's built-in streaming algorithm
-// names (sorted lexicographically, like Algorithms).
-func StreamAlgorithms() []string {
-	return []string{"coem", "kmeans", "meta"}
-}
+// names, sorted like Algorithms.
+func StreamAlgorithms() []string { return sortedNames(defaultStreams) }
 
 // streamKMeans wires Spec onto stream.MiniBatch: K, Seed, Restarts and
 // MaxIter mean exactly what they mean for the batch kmeans algorithm

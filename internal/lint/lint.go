@@ -20,8 +20,6 @@
 //     ...Context-capable sibling (interprocedural over the module)
 //   - rngescape:  no *rand.Rand crossing a parallel.For/Each/Map boundary
 //     through a struct field, channel, or worker return value
-//   - lockcopy:   no by-value copy of a type containing a sync primitive
-//     (Mutex, RWMutex, WaitGroup, Once, Cond — incl. obs.Collector)
 //   - goleak:     no goroutine spawn whose Wait/channel-receive join is
 //     skippable by an early return on some CFG path
 //   - detsource:  no time.Now/global-entropy value flowing (via dataflow)
@@ -94,7 +92,6 @@ func All() []*Analyzer {
 		SpanEnd(),
 		CtxFlow(),
 		RngEscape(),
-		LockCopy(),
 		GoLeak(),
 		DetSource(),
 	}

@@ -118,7 +118,6 @@ func TestObsNilFixture(t *testing.T)     { checkFixture(t, "obsnil", ObsNil()) }
 func TestSpanEndFixture(t *testing.T)    { checkFixture(t, "spanend", SpanEnd()) }
 func TestCtxFlowFixture(t *testing.T)    { checkFixture(t, "ctxflow", CtxFlow()) }
 func TestRngEscapeFixture(t *testing.T)  { checkFixture(t, "rngescape", RngEscape()) }
-func TestLockCopyFixture(t *testing.T)   { checkFixture(t, "lockcopy", LockCopy()) }
 func TestGoLeakFixture(t *testing.T)     { checkFixture(t, "goleak", GoLeak()) }
 func TestDetSourceFixture(t *testing.T)  { checkFixture(t, "detsource", DetSource()) }
 

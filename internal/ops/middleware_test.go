@@ -187,7 +187,7 @@ func TestLogSchemaAccessLog(t *testing.T) {
 func TestMetricsContentType(t *testing.T) {
 	col := obs.NewCollector()
 	col.Count("x", 1)
-	mux := NewMux(col)
+	mux := NewMuxOpts(col, MuxOptions{})
 	rw := httptest.NewRecorder()
 	mux.ServeHTTP(rw, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if rw.Code != http.StatusOK {

@@ -53,14 +53,10 @@ type MuxOptions struct {
 	Log *obs.Logger
 }
 
-// NewMux routes the ops endpoints. col may be nil, in which case
-// /metrics and /spans report 503 Service Unavailable (the pprof and
-// health endpoints still work).
-func NewMux(col *obs.Collector) *http.ServeMux {
-	return NewMuxOpts(col, MuxOptions{})
-}
-
-// NewMuxOpts is NewMux plus a readiness hook and application mounts.
+// NewMuxOpts routes the ops endpoints plus opt's readiness hook and
+// application mounts. col may be nil, in which case /metrics and /spans
+// report 503 Service Unavailable (the pprof and health endpoints still
+// work).
 func NewMuxOpts(col *obs.Collector, opt MuxOptions) *http.ServeMux {
 	start := time.Now()
 	mux := http.NewServeMux()
@@ -109,19 +105,13 @@ func NewMuxOpts(col *obs.Collector, opt MuxOptions) *http.ServeMux {
 	return mux
 }
 
-// NewServer wraps the ops mux in an http.Server with conservative
+// NewServerOpts wraps the ops mux in an http.Server with conservative
 // timeouts. WriteTimeout stays 0 because /debug/pprof/profile streams
 // for its `seconds` parameter (30s default) and a write deadline would
 // truncate the profile; slow-loris exposure is bounded by
-// ReadHeaderTimeout and IdleTimeout instead.
-func NewServer(addr string, col *obs.Collector) *http.Server {
-	return NewServerOpts(addr, col, MuxOptions{})
-}
-
-// NewServerOpts is NewServer with a readiness hook and application
-// mounts. The whole mux is wrapped in the Instrument middleware, so every
-// request gets a trace id, a latency histogram observation and (with
-// opt.Log set) an access-log line.
+// ReadHeaderTimeout and IdleTimeout instead. The whole mux is wrapped in
+// the Instrument middleware, so every request gets a trace id, a latency
+// histogram observation and (with opt.Log set) an access-log line.
 func NewServerOpts(addr string, col *obs.Collector, opt MuxOptions) *http.Server {
 	return &http.Server{
 		Addr:              addr,
@@ -139,14 +129,10 @@ type Handle struct {
 	err chan error
 }
 
-// Serve binds addr (host:port; port 0 picks an ephemeral port) and
+// ServeOpts binds addr (host:port; port 0 picks an ephemeral port) and
 // serves the ops endpoints in a background goroutine until Shutdown.
-func Serve(addr string, col *obs.Collector) (*Handle, error) {
-	return ServeOpts(addr, col, MuxOptions{})
-}
-
-// ServeOpts is Serve with a readiness hook and application mounts — how the
-// CLI exposes the job engine's /v1/jobs API next to the ops endpoints.
+// opt's mounts are how the CLI exposes the job engine's /v1/jobs API next
+// to the ops endpoints.
 func ServeOpts(addr string, col *obs.Collector, opt MuxOptions) (*Handle, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

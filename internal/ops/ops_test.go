@@ -36,7 +36,7 @@ func TestServeMetricsMatchesWriteProm(t *testing.T) {
 	_, end := obs.SpanCtx(context.Background(), col, "kmeans.run")
 	end()
 
-	h, err := Serve("127.0.0.1:0", col)
+	h, err := ServeOpts("127.0.0.1:0", col, MuxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestServeSpansAndHealthz(t *testing.T) {
 	end()
 	endRoot()
 
-	h, err := Serve("127.0.0.1:0", col)
+	h, err := ServeOpts("127.0.0.1:0", col, MuxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestServeSpansAndHealthz(t *testing.T) {
 }
 
 func TestServePprofEndpoints(t *testing.T) {
-	h, err := Serve("127.0.0.1:0", obs.NewCollector())
+	h, err := ServeOpts("127.0.0.1:0", obs.NewCollector(), MuxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestServePprofEndpoints(t *testing.T) {
 }
 
 func TestNilCollectorReturns503(t *testing.T) {
-	h, err := Serve("127.0.0.1:0", nil)
+	h, err := ServeOpts("127.0.0.1:0", nil, MuxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,13 +124,13 @@ func TestNilCollectorReturns503(t *testing.T) {
 }
 
 func TestServeRejectsBadAddr(t *testing.T) {
-	if _, err := Serve("256.256.256.256:99999", nil); err == nil {
+	if _, err := ServeOpts("256.256.256.256:99999", nil, MuxOptions{}); err == nil {
 		t.Fatal("Serve on an invalid address must error")
 	}
 }
 
 func TestReadyzWithoutHookMirrorsLiveness(t *testing.T) {
-	h, err := Serve("127.0.0.1:0", nil)
+	h, err := ServeOpts("127.0.0.1:0", nil, MuxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

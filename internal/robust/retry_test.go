@@ -5,126 +5,52 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"multiclust/internal/core"
+	"multiclust/internal/obs"
 )
 
-func TestBackoffZeroValueNeverWaits(t *testing.T) {
-	var b Backoff
-	for retry := 0; retry < 10; retry++ {
-		if d := b.Delay(retry); d != 0 {
-			t.Fatalf("zero Backoff Delay(%d) = %v, want 0", retry, d)
-		}
-	}
-}
+func TestRetryCountsOnlyDegenerateRetries(t *testing.T) {
+	col := obs.NewCollector()
+	prev := obs.Default()
+	obs.SetDefault(col)
+	defer obs.SetDefault(prev)
 
-func TestBackoffDelayDeterministic(t *testing.T) {
-	b := Backoff{Base: 10 * time.Millisecond, Factor: 2, Max: time.Second, Jitter: 0.5, Seed: 42}
-	for retry := 1; retry <= 6; retry++ {
-		d1 := b.Delay(retry)
-		d2 := b.Delay(retry)
-		if d1 != d2 {
-			t.Fatalf("Delay(%d) not deterministic: %v vs %v", retry, d1, d2)
-		}
-	}
-}
-
-func TestBackoffDelaySchedule(t *testing.T) {
-	b := Backoff{Base: 10 * time.Millisecond} // Factor defaults to 2, no jitter
-	want := []time.Duration{0, 10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond, 80 * time.Millisecond}
-	for retry, w := range want {
-		if d := b.Delay(retry); d != w {
-			t.Fatalf("Delay(%d) = %v, want %v", retry, d, w)
-		}
-	}
-}
-
-func TestBackoffDelayCap(t *testing.T) {
-	b := Backoff{Base: 10 * time.Millisecond, Max: 25 * time.Millisecond}
-	if d := b.Delay(5); d != 25*time.Millisecond {
-		t.Fatalf("capped Delay(5) = %v, want 25ms", d)
-	}
-}
-
-func TestBackoffJitterBounded(t *testing.T) {
-	b := Backoff{Base: 100 * time.Millisecond, Factor: 1.0001, Jitter: 0.3, Seed: 7}
-	for retry := 1; retry <= 20; retry++ {
-		d := b.Delay(retry)
-		lo, hi := 60*time.Millisecond, 140*time.Millisecond
-		if d < lo || d > hi {
-			t.Fatalf("Delay(%d) = %v outside jitter envelope [%v, %v]", retry, d, lo, hi)
-		}
-	}
-	// Different seeds must produce different jitter draws somewhere.
-	other := b
-	other.Seed = 8
-	same := true
-	for retry := 1; retry <= 20; retry++ {
-		if b.Delay(retry) != other.Delay(retry) {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("seeds 7 and 8 produced identical 20-delay jitter schedules")
-	}
-}
-
-func TestRetryBackoffRecordsScheduleViaInjectedSleep(t *testing.T) {
-	var slept []time.Duration
-	b := Backoff{
-		Base:  5 * time.Millisecond,
-		Sleep: func(d time.Duration) { slept = append(slept, d) },
-	}
 	calls := 0
-	err := RetryBackoff(context.Background(), 100, 4, b, func(seed int64) error {
+	if _, err := Retry(context.Background(), 1, func(int64) (int, error) {
 		calls++
-		if seed < 103 {
-			return fmt.Errorf("still degenerate: %w", core.ErrDegenerate)
+		return 0, nil
+	}); err != nil {
+		t.Fatalf("Retry: %v", err)
+	}
+	if calls != 1 || col.Counter("robust.degenerate_retries") != 0 {
+		t.Fatalf("clean first attempt: calls=%d retries=%d, want 1 and 0",
+			calls, col.Counter("robust.degenerate_retries"))
+	}
+	if _, err := Retry(context.Background(), 10, func(seed int64) (int, error) {
+		if seed < 12 {
+			return 0, fmt.Errorf("degenerate: %w", core.ErrDegenerate)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("RetryBackoff: %v", err)
+		return 0, nil
+	}); err != nil {
+		t.Fatalf("Retry: %v", err)
 	}
-	if calls != 4 {
-		t.Fatalf("calls = %d, want 4", calls)
-	}
-	want := []time.Duration{5 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond}
-	if len(slept) != len(want) {
-		t.Fatalf("slept %v, want %v", slept, want)
-	}
-	for i := range want {
-		if slept[i] != want[i] {
-			t.Fatalf("slept[%d] = %v, want %v", i, slept[i], want[i])
-		}
+	if got := col.Counter("robust.degenerate_retries"); got != 2 {
+		t.Fatalf("robust.degenerate_retries = %d, want 2", got)
 	}
 }
 
-func TestRetryBackoffFirstAttemptNeverWaits(t *testing.T) {
-	b := Backoff{
-		Base:  time.Hour,
-		Sleep: func(time.Duration) { t.Fatal("slept before a successful first attempt") },
-	}
-	if err := RetryBackoff(context.Background(), 1, 3, b, func(int64) error { return nil }); err != nil {
-		t.Fatalf("RetryBackoff: %v", err)
-	}
-}
-
-func TestRetryBackoffInterruptedDuringWait(t *testing.T) {
+func TestRetryInterruptedBetweenAttempts(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	b := Backoff{
-		Base:  time.Millisecond,
-		Sleep: func(time.Duration) { cancel() }, // the wait is where the cut lands
-	}
+	defer cancel()
 	calls := 0
-	err := RetryBackoff(ctx, 10, 5, b, func(int64) error {
+	_, err := Retry(ctx, 10, func(int64) (int, error) {
 		calls++
-		return fmt.Errorf("degenerate: %w", core.ErrDegenerate)
+		cancel() // the cut lands after the first attempt
+		return 0, fmt.Errorf("degenerate: %w", core.ErrDegenerate)
 	})
 	if calls != 1 {
-		t.Fatalf("calls = %d, want 1 (no attempt after the interrupted wait)", calls)
+		t.Fatalf("calls = %d, want 1 (no attempt after the cancel)", calls)
 	}
 	if !errors.Is(err, core.ErrInterrupted) {
 		t.Fatalf("want ErrInterrupted in %v", err)
@@ -134,16 +60,16 @@ func TestRetryBackoffInterruptedDuringWait(t *testing.T) {
 	}
 }
 
-func TestRetryBackoffCtxHonouredByDefaultSleep(t *testing.T) {
+func TestRetryCancelledContextStopsReseeding(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already done: the default timer path must not serve the hour
-	b := Backoff{Base: time.Hour}
-	start := time.Now()
-	err := RetryBackoff(ctx, 1, 3, b, func(int64) error {
-		return fmt.Errorf("degenerate: %w", core.ErrDegenerate)
+	cancel() // already done: attempt 0 still runs, no reseed follows
+	calls := 0
+	v, err := Retry(ctx, 1, func(int64) (int, error) {
+		calls++
+		return 7, fmt.Errorf("degenerate: %w", core.ErrDegenerate)
 	})
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("backoff served %v of a cancelled wait", elapsed)
+	if calls != 1 || v != 0 {
+		t.Fatalf("calls=%d v=%d, want 1 attempt and the zero value", calls, v)
 	}
 	if !errors.Is(err, core.ErrInterrupted) {
 		t.Fatalf("want ErrInterrupted, got %v", err)
@@ -154,9 +80,9 @@ func TestRetrySeedScheduleUnchanged(t *testing.T) {
 	// The historic contract: seeds walk seed, seed+1, ... with no waiting,
 	// and exhaustion reports the full range.
 	var seeds []int64
-	err := Retry(7, 3, func(seed int64) error {
+	_, err := Retry(context.Background(), 7, func(seed int64) (int, error) {
 		seeds = append(seeds, seed)
-		return fmt.Errorf("degenerate: %w", core.ErrDegenerate)
+		return 0, fmt.Errorf("degenerate: %w", core.ErrDegenerate)
 	})
 	want := []int64{7, 8, 9}
 	if len(seeds) != len(want) {
@@ -176,10 +102,10 @@ func TestRetrySeedScheduleUnchanged(t *testing.T) {
 	}
 }
 
-func TestRetryValueBackoffReturnsValueOnNonDegenerateError(t *testing.T) {
+func TestRetryReturnsValueOnNonDegenerateError(t *testing.T) {
 	// Interrupted algorithms return best-so-far alongside the error; the
 	// retry wrapper must pass that pair through untouched.
-	v, err := RetryValueBackoff(context.Background(), 1, 3, Backoff{}, func(int64) (int, error) {
+	v, err := Retry(context.Background(), 1, func(int64) (int, error) {
 		return 41, fmt.Errorf("cut short: %w", core.ErrInterrupted)
 	})
 	if v != 41 {
@@ -187,17 +113,5 @@ func TestRetryValueBackoffReturnsValueOnNonDegenerateError(t *testing.T) {
 	}
 	if !errors.Is(err, core.ErrInterrupted) {
 		t.Fatalf("want ErrInterrupted, got %v", err)
-	}
-}
-
-func TestRetryValueBackoffZeroOnExhaustion(t *testing.T) {
-	v, err := RetryValueBackoff(context.Background(), 1, 2, Backoff{}, func(int64) (int, error) {
-		return 99, fmt.Errorf("degenerate: %w", core.ErrDegenerate)
-	})
-	if v != 0 {
-		t.Fatalf("value = %d, want zero after exhaustion", v)
-	}
-	if !errors.Is(err, core.ErrDegenerate) {
-		t.Fatalf("want ErrDegenerate, got %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package robust
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -221,12 +222,12 @@ func TestRecoverToNoPanic(t *testing.T) {
 
 func TestRetrySeedSchedule(t *testing.T) {
 	var seeds []int64
-	err := Retry(7, 4, func(s int64) error {
+	_, err := Retry(context.Background(), 7, func(s int64) (struct{}, error) {
 		seeds = append(seeds, s)
 		if s < 9 {
-			return fmt.Errorf("singular: %w", core.ErrDegenerate)
+			return struct{}{}, fmt.Errorf("singular: %w", core.ErrDegenerate)
 		}
-		return nil
+		return struct{}{}, nil
 	})
 	if err != nil {
 		t.Fatalf("Retry should succeed on third attempt: %v", err)
@@ -238,11 +239,11 @@ func TestRetrySeedSchedule(t *testing.T) {
 
 func TestRetryFirstAttemptUsesOriginalSeed(t *testing.T) {
 	var first int64 = -1
-	_ = Retry(42, 3, func(s int64) error {
+	_, _ = Retry(context.Background(), 42, func(s int64) (struct{}, error) {
 		if first == -1 {
 			first = s
 		}
-		return nil
+		return struct{}{}, nil
 	})
 	if first != 42 {
 		t.Fatalf("first attempt seed = %d, want 42", first)
@@ -252,9 +253,9 @@ func TestRetryFirstAttemptUsesOriginalSeed(t *testing.T) {
 func TestRetryNonDegenerateErrorStops(t *testing.T) {
 	calls := 0
 	sentinel := errors.New("hard failure")
-	err := Retry(0, 5, func(int64) error {
+	_, err := Retry(context.Background(), 0, func(int64) (struct{}, error) {
 		calls++
-		return sentinel
+		return struct{}{}, sentinel
 	})
 	if !errors.Is(err, sentinel) || calls != 1 {
 		t.Fatalf("non-degenerate error must not be retried: calls=%d err=%v", calls, err)
@@ -263,12 +264,12 @@ func TestRetryNonDegenerateErrorStops(t *testing.T) {
 
 func TestRetryBudgetExhausted(t *testing.T) {
 	calls := 0
-	err := Retry(3, 3, func(int64) error {
+	_, err := Retry(context.Background(), 3, func(int64) (struct{}, error) {
 		calls++
-		return core.ErrDegenerate
+		return struct{}{}, core.ErrDegenerate
 	})
-	if calls != 3 || !errors.Is(err, core.ErrDegenerate) {
-		t.Fatalf("calls=%d err=%v", calls, err)
+	if calls != RetryBudget || !errors.Is(err, core.ErrDegenerate) {
+		t.Fatalf("calls=%d err=%v, want %d calls", calls, err, RetryBudget)
 	}
 	if !strings.Contains(err.Error(), "seeds 3..5") {
 		t.Fatalf("exhaustion error should name the seed range: %v", err)
@@ -276,7 +277,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 }
 
 func TestRetryValue(t *testing.T) {
-	v, err := RetryValue(0, 3, func(s int64) (int, error) {
+	v, err := Retry(context.Background(), 0, func(s int64) (int, error) {
 		if s == 0 {
 			return 0, core.ErrDegenerate
 		}
@@ -285,8 +286,8 @@ func TestRetryValue(t *testing.T) {
 	if err != nil || v != 10 {
 		t.Fatalf("v=%d err=%v, want 10 nil", v, err)
 	}
-	v2, err := RetryValue(0, 2, func(int64) (int, error) { return 5, core.ErrDegenerate })
+	v2, err := Retry(context.Background(), 0, func(int64) (int, error) { return 5, core.ErrDegenerate })
 	if !errors.Is(err, core.ErrDegenerate) || v2 != 0 {
-		t.Fatalf("exhausted RetryValue should zero the value: v=%d err=%v", v2, err)
+		t.Fatalf("exhausted Retry should zero the value: v=%d err=%v", v2, err)
 	}
 }

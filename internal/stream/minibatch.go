@@ -23,18 +23,11 @@ type MiniBatchConfig struct {
 	// StarveAfter is the number of consecutive chunks a centroid may go
 	// without a single assignment before it is reseeded (default 3).
 	StarveAfter int
-	// ReseedBudget is the robust.Retry budget for one reseed draw: the
-	// draw walks the deterministic seed schedule until it lands on a chunk
-	// row at nonzero distance from its center (default 3).
-	ReseedBudget int
 }
 
 func (cfg MiniBatchConfig) withDefaults() MiniBatchConfig {
 	if cfg.StarveAfter <= 0 {
 		cfg.StarveAfter = 3
-	}
-	if cfg.ReseedBudget <= 0 {
-		cfg.ReseedBudget = 3
 	}
 	return cfg
 }
@@ -164,8 +157,9 @@ func (m *MiniBatch) PushContext(ctx context.Context, rows [][]float64) error {
 // draw from the current chunk on the robust.Retry seed schedule
 // (Seed+reseeds, Seed+reseeds+1, ...): a draw that lands on a row already
 // sitting on its centroid is a degenerate fit and retries with the next
-// seed. A chunk with zero total distance mass has nothing to offer; the
-// centroid stays starved and the next chunk tries again.
+// seed, up to robust.RetryBudget draws. A chunk with zero total distance
+// mass has nothing to offer; the centroid stays starved and the next
+// chunk tries again.
 func (m *MiniBatch) reseedStarved(rec obs.Recorder, perChunk []int64, rows [][]float64, sqd []float64) {
 	for c := range perChunk {
 		if perChunk[c] > 0 {
@@ -176,7 +170,7 @@ func (m *MiniBatch) reseedStarved(rec obs.Recorder, perChunk []int64, rows [][]f
 		if m.starved[c] < m.cfg.StarveAfter {
 			continue
 		}
-		idx, err := robust.RetryValue(m.cfg.Seed+m.reseeds, m.cfg.ReseedBudget, func(seed int64) (int, error) {
+		idx, err := robust.Retry(context.Background(), m.cfg.Seed+m.reseeds, func(seed int64) (int, error) {
 			rng := rand.New(rand.NewSource(seed))
 			i := weightedPick(rng, sqd)
 			if i < 0 || sqd[i] == 0 {

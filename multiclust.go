@@ -220,10 +220,6 @@ var (
 	Sanitize        = robust.Sanitize
 )
 
-// retryBudget bounds the deterministic reseed schedule (Seed, Seed+1, ...)
-// used when a stochastic fit degenerates; see internal/robust.Retry.
-const retryBudget = 3
-
 // ---------------------------------------------------------------------------
 // Core types
 // ---------------------------------------------------------------------------
@@ -402,7 +398,7 @@ func EMContext(ctx context.Context, points [][]float64, cfg EMConfig) (res *EMRe
 	if err := robust.ValidateDataset(points); err != nil {
 		return nil, err
 	}
-	return robust.RetryValueBackoff(ctx, cfg.Seed, retryBudget, robust.Backoff{}, func(seed int64) (*EMResult, error) {
+	return robust.Retry(ctx, cfg.Seed, func(seed int64) (*EMResult, error) {
 		c := cfg
 		c.Seed = seed
 		r, ferr := em.FitContext(ctx, points, c)
@@ -438,7 +434,7 @@ func SpectralContext(ctx context.Context, points [][]float64, cfg SpectralConfig
 	if err := robust.ValidateDataset(points); err != nil {
 		return nil, err
 	}
-	return robust.RetryValueBackoff(ctx, cfg.Seed, retryBudget, robust.Backoff{}, func(seed int64) (*SpectralResult, error) {
+	return robust.Retry(ctx, cfg.Seed, func(seed int64) (*SpectralResult, error) {
 		c := cfg
 		c.Seed = seed
 		r, ferr := spectral.RunContext(ctx, points, c)

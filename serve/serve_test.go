@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"multiclust"
 	"multiclust/serve"
 )
 
@@ -60,9 +59,9 @@ func TestPublicSurfaceEndToEnd(t *testing.T) {
 }
 
 func TestCustomRunnerThroughFacadeAlias(t *testing.T) {
-	// An embedder outside the module can only name the recorder through the
-	// facade alias; this pins that the seam stays implementable.
-	custom := func(_ context.Context, spec serve.Spec, _ int64, _ multiclust.Recorder) (*serve.Outcome, error) {
+	// An embedder outside the module implements the seam with serve's own
+	// types; this pins that it stays implementable.
+	custom := func(_ context.Context, spec serve.Spec, _ int64) (*serve.Outcome, error) {
 		return &serve.Outcome{Labels: make([]int, len(spec.Points)), K: 1}, nil
 	}
 	eng := serve.New(serve.Config{Workers: 1, Runners: map[string]serve.Runner{"custom": custom}})
